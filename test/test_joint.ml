@@ -219,6 +219,27 @@ let test_solve_jobs_bit_identical () =
       check_outputs_identical name (solve 1) (solve 4))
     [ "default"; "smart_city"; "ar_assistant"; "drone_swarm" ]
 
+(* Pinned solver output: the [Decision.fingerprint] of [Optimizer.solve] at
+   default config on each named scenario.  Performance work on the solver
+   must leave every decision bit-identical, so these constants only change
+   with a deliberate change to what the solver computes. *)
+let pinned_named_fingerprints =
+  [
+    ("default", "502b422ef467184c");
+    ("smart_city", "037ec59cfdefc81e");
+    ("ar_assistant", "19f16db458b1643a");
+    ("drone_swarm", "ddc11510f9d37c44");
+  ]
+
+let test_solve_pinned_fingerprints () =
+  List.iter
+    (fun (name, expected) ->
+      let c = Scenario.build (Es_workload.Scenarios.by_name name) in
+      let out = Optimizer.solve c in
+      Alcotest.(check string) (name ^ ": pinned fingerprint") expected
+        (Decision.fingerprint out.Optimizer.decisions))
+    pinned_named_fingerprints
+
 (* The allocation-free surgery step must pick the bit-identical plan the old
    Decision-per-candidate implementation picks, for arbitrary grants. *)
 let best_plan_matches_reference =
@@ -671,6 +692,8 @@ let () =
         [
           Alcotest.test_case "solve jobs=4 = jobs=1 (named scenarios)" `Slow
             test_solve_jobs_bit_identical;
+          Alcotest.test_case "solve output pinned (named scenarios)" `Slow
+            test_solve_pinned_fingerprints;
           best_plan_matches_reference;
           Alcotest.test_case "annealing restarts across jobs" `Quick
             test_annealing_restarts_jobs_identical;

@@ -183,6 +183,71 @@ let test_delta_guards () =
     (Invalid_argument "Es_scale.Delta.Leave: cannot remove the last device") (fun () ->
       ignore (Es_scale.Delta.apply st (Es_scale.Delta.Leave 0)))
 
+(* ---------- pinned output at fleet scale ---------- *)
+
+(* A 1,000-device smart_city fleet of distinct archetypes with a wide rate
+   spread.  The cold balanced-greedy placement parks every device-only
+   device on one server, so one shard holds most of the fleet: the shape
+   where per-device rescans of a shard turn quadratic.  The fingerprints
+   below are the solver's output on this fleet; performance work must
+   leave them unchanged. *)
+let pinned_fleet =
+  lazy
+    (Es_workload.Heavy.population ~k:1000 ~rate_spread:0.5 ~devices:1000
+       (Scenario.with_seed 1 Es_workload.Scenarios.smart_city))
+
+let pinned_cfg = { Es_scale.default_config with Es_scale.jobs = 1 }
+let pinned_largest_shard = 580
+let pinned_cold_fingerprint = "65b122e489d2f767"
+let pinned_delta_fingerprint = "76a392f1c606822f"
+let pinned_delta_chain = "37a9e1d8416b105a"
+
+(* 30 events, joins, leaves and rate changes in turn, drawn from a fixed
+   stream: joiners are copies of fleet devices, rate changes scale the
+   current rate by a factor in [0.8, 1.25]. *)
+let pinned_events cluster =
+  let rng = Es_util.Prng.create 7 in
+  let pool = cluster.Cluster.devices in
+  let n = ref (Array.length pool) in
+  List.init 30 (fun k ->
+      match k mod 3 with
+      | 0 ->
+          incr n;
+          Es_scale.Delta.Join (Es_util.Prng.choice rng pool)
+      | 1 ->
+          let i = Es_util.Prng.int rng !n in
+          decr n;
+          Es_scale.Delta.Leave i
+      | _ ->
+          let i = Es_util.Prng.int rng !n in
+          let rate = pool.(i mod Array.length pool).Cluster.rate in
+          Es_scale.Delta.Rate_change (i, rate *. Es_util.Prng.float_in rng 0.8 1.25))
+
+let test_pinned_fleet () =
+  let cluster = Lazy.force pinned_fleet in
+  let st = Es_scale.Delta.init ~config:pinned_cfg cluster in
+  let out = Es_scale.Delta.output st in
+  let sizes = Array.make (Cluster.n_servers cluster) 0 in
+  Array.iter (fun s -> sizes.(s) <- sizes.(s) + 1) out.Es_scale.assignment;
+  Alcotest.(check int) "largest shard" pinned_largest_shard
+    (Array.fold_left max 0 sizes);
+  Alcotest.(check string) "cold solve pinned" pinned_cold_fingerprint
+    (Decision.fingerprint out.Es_scale.decisions);
+  let chain = Es_util.Fnv.create () in
+  let st =
+    List.fold_left
+      (fun st event ->
+        let st = Es_scale.Delta.apply st event in
+        Es_util.Fnv.add_string chain
+          (Decision.fingerprint (Es_scale.Delta.output st).Es_scale.decisions);
+        st)
+      st (pinned_events cluster)
+  in
+  Alcotest.(check string) "30-event delta chain pinned (final)" pinned_delta_fingerprint
+    (Decision.fingerprint (Es_scale.Delta.output st).Es_scale.decisions);
+  Alcotest.(check string) "30-event delta chain pinned (every step)" pinned_delta_chain
+    (Es_util.Fnv.to_hex chain)
+
 (* ---------- solver adapter + warm/assignment contract ---------- *)
 
 let test_solver_adapter_online () =
@@ -258,6 +323,7 @@ let () =
           Alcotest.test_case "leave == shard re-solve" `Quick test_delta_leave;
           Alcotest.test_case "join == shard re-solve" `Quick test_delta_join;
           Alcotest.test_case "guards" `Quick test_delta_guards;
+          Alcotest.test_case "1k fleet output pinned" `Slow test_pinned_fleet;
         ] );
       ( "online",
         [ Alcotest.test_case "solver adapter epochs feasible" `Slow test_solver_adapter_online ] );
