@@ -4,30 +4,32 @@ open Es_surgery
 let balanced_greedy cluster ~plans =
   let nd = Cluster.n_devices cluster and ns = Cluster.n_servers cluster in
   if Array.length plans <> nd then invalid_arg "Assign.balanced_greedy: plans size mismatch";
+  let servers = cluster.Cluster.servers in
   let bw_load = Array.make ns 0.0 in
   let cpu_load = Array.make ns 0.0 in
   let assignment = Array.make nd 0 in
-  let demand dev_id =
-    let dev = cluster.Cluster.devices.(dev_id) in
-    let plan = plans.(dev_id) in
-    dev.Cluster.rate
-    *. ((8.0 *. Plan.transfer_bytes plan /. 1e6) +. (Plan.srv_flops plan /. 1e9))
+  let demand =
+    Array.init nd (fun dev_id ->
+        let plan = plans.(dev_id) in
+        cluster.Cluster.devices.(dev_id).Cluster.rate
+        *. ((8.0 *. Plan.transfer_bytes plan /. 1e6) +. (Plan.srv_flops plan /. 1e9)))
   in
   let order = Array.init nd (fun i -> i) in
-  Array.sort (fun a b -> Float.compare (demand b) (demand a)) order;
+  Array.sort (fun a b -> Float.compare demand.(b) demand.(a)) order;
+  (* Per device, the uplink bits/s and the server time (once per server
+     perf class) are hoisted out of the server scan. *)
+  let classes, perfs = Cluster.perf_classes cluster in
+  let work = Array.make (Array.length perfs) 0.0 in
   Array.iter
     (fun dev_id ->
-      let dev = cluster.Cluster.devices.(dev_id) in
+      let rate = cluster.Cluster.devices.(dev_id).Cluster.rate in
       let plan = plans.(dev_id) in
+      let up_bps = rate *. 8.0 *. Plan.transfer_bytes plan in
+      Array.iteri (fun c perf -> work.(c) <- Plan.server_time perf plan) perfs;
       let best = ref 0 and best_load = ref infinity in
       for s = 0 to ns - 1 do
-        let srv = cluster.Cluster.servers.(s) in
-        let work = Plan.server_time srv.Cluster.sproc.Processor.perf plan in
-        let bw =
-          bw_load.(s)
-          +. (dev.Cluster.rate *. 8.0 *. Plan.transfer_bytes plan /. srv.Cluster.ap_bandwidth_bps)
-        in
-        let cpu = cpu_load.(s) +. (dev.Cluster.rate *. work) in
+        let bw = bw_load.(s) +. (up_bps /. servers.(s).Cluster.ap_bandwidth_bps) in
+        let cpu = cpu_load.(s) +. (rate *. work.(classes.(s))) in
         let load = Float.max bw cpu in
         if load < !best_load then begin
           best_load := load;
@@ -37,12 +39,8 @@ let balanced_greedy cluster ~plans =
       let s = !best in
       assignment.(dev_id) <- s;
       if not (Plan.is_device_only plan) then begin
-        let srv = cluster.Cluster.servers.(s) in
-        let work = Plan.server_time srv.Cluster.sproc.Processor.perf plan in
-        bw_load.(s) <-
-          bw_load.(s)
-          +. (dev.Cluster.rate *. 8.0 *. Plan.transfer_bytes plan /. srv.Cluster.ap_bandwidth_bps);
-        cpu_load.(s) <- cpu_load.(s) +. (dev.Cluster.rate *. work)
+        bw_load.(s) <- bw_load.(s) +. (up_bps /. servers.(s).Cluster.ap_bandwidth_bps);
+        cpu_load.(s) <- cpu_load.(s) +. (rate *. work.(classes.(s)))
       end)
     order;
   assignment

@@ -49,6 +49,26 @@ let make ~devices ~servers =
 let n_devices t = Array.length t.devices
 let n_servers t = Array.length t.servers
 
+let perf_classes t =
+  let same (a : Es_dnn.Profile.perf) (b : Es_dnn.Profile.perf) =
+    Float.equal a.Es_dnn.Profile.flops_per_s b.Es_dnn.Profile.flops_per_s
+    && Float.equal a.Es_dnn.Profile.mem_bytes_per_s b.Es_dnn.Profile.mem_bytes_per_s
+    && Float.equal a.Es_dnn.Profile.layer_overhead_s b.Es_dnn.Profile.layer_overhead_s
+  in
+  let perfs = ref [||] in
+  let classes =
+    Array.map
+      (fun srv ->
+        let p = srv.sproc.Processor.perf in
+        match Array.find_index (same p) !perfs with
+        | Some c -> c
+        | None ->
+            perfs := Array.append !perfs [| p |];
+            Array.length !perfs - 1)
+      t.servers
+  in
+  (classes, !perfs)
+
 let add_perf h (p : Es_dnn.Profile.perf) =
   Es_util.Fnv.add_float h p.Es_dnn.Profile.flops_per_s;
   Es_util.Fnv.add_float h p.Es_dnn.Profile.mem_bytes_per_s;

@@ -47,6 +47,13 @@ val server :
 val n_devices : t -> int
 val n_servers : t -> int
 
+val perf_classes : t -> int array * Es_dnn.Profile.perf array
+(** Servers grouped by processor performance: [(classes, perfs)] where
+    [perfs] holds the distinct server perf vectors in order of first
+    appearance and [classes.(s)] indexes server [s]'s.  A plan's server
+    time depends on the server only through its perf, so loops over
+    servers can compute it once per class. *)
+
 val fingerprint : ?rate_grain:float -> t -> string
 (** Structural digest (16 hex chars) of the whole cluster: every device's
     processor (perf, memory, power), link, model identity (name, node count,

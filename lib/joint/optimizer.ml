@@ -130,21 +130,18 @@ let pool_cache_cond = Condition.create ()
    a backstop for adversarial churn (e.g. qcheck sweeping server perf). *)
 let pool_cache_cap = 512
 
-let pool_key ?exits ?max_candidates ?precisions ~widths cluster ~device =
-  let dev = cluster.Cluster.devices.(device) in
+let add_perf h (p : Es_dnn.Profile.perf) =
+  Es_util.Fnv.add_float h p.Es_dnn.Profile.flops_per_s;
+  Es_util.Fnv.add_float h p.Es_dnn.Profile.mem_bytes_per_s;
+  Es_util.Fnv.add_float h p.Es_dnn.Profile.layer_overhead_s
+
+(* A pool key hashes the device archetype (model identity, device
+   processor) followed by the part every device of the cluster shares —
+   the server perf vector and the candidate knobs — which is hashed once
+   per cluster. *)
+let shared_key ?exits ?max_candidates ?precisions ~widths cluster =
   let h = Es_util.Fnv.create () in
-  let add_perf (p : Es_dnn.Profile.perf) =
-    Es_util.Fnv.add_float h p.Es_dnn.Profile.flops_per_s;
-    Es_util.Fnv.add_float h p.Es_dnn.Profile.mem_bytes_per_s;
-    Es_util.Fnv.add_float h p.Es_dnn.Profile.layer_overhead_s
-  in
-  (* Model identity, as in Candidate's cache key: name + structure. *)
-  Es_util.Fnv.add_string h dev.Cluster.model.Es_dnn.Graph.name;
-  Es_util.Fnv.add_int h (Es_dnn.Graph.n_nodes dev.Cluster.model);
-  Es_util.Fnv.add_float h (Es_dnn.Graph.total_flops dev.Cluster.model);
-  add_perf dev.Cluster.proc.Processor.perf;
-  Es_util.Fnv.add_float h dev.Cluster.proc.Processor.mem_bytes;
-  Array.iter (fun (s : Cluster.server) -> add_perf s.Cluster.sproc.Processor.perf) cluster.Cluster.servers;
+  Array.iter (fun (s : Cluster.server) -> add_perf h s.Cluster.sproc.Processor.perf) cluster.Cluster.servers;
   Es_util.Fnv.add_int h (Cluster.n_servers cluster);
   List.iter (Es_util.Fnv.add_float h) widths;
   Es_util.Fnv.add_int h (List.length widths);
@@ -159,6 +156,17 @@ let pool_key ?exits ?max_candidates ?precisions ~widths cluster ~device =
       Es_util.Fnv.add_int h (List.length es);
       List.iter (fun e -> Es_util.Fnv.add_int h (Option.value e ~default:(-2))) es);
   Es_util.Fnv.add_int h (Option.value max_candidates ~default:(-1));
+  Es_util.Fnv.to_hex h
+
+let pool_key ~shared (dev : Cluster.device) =
+  let h = Es_util.Fnv.create () in
+  (* Model identity, as in Candidate's cache key: name + structure. *)
+  Es_util.Fnv.add_string h dev.Cluster.model.Es_dnn.Graph.name;
+  Es_util.Fnv.add_int h (Es_dnn.Graph.n_nodes dev.Cluster.model);
+  Es_util.Fnv.add_float h (Es_dnn.Graph.total_flops dev.Cluster.model);
+  add_perf h dev.Cluster.proc.Processor.perf;
+  Es_util.Fnv.add_float h dev.Cluster.proc.Processor.mem_bytes;
+  Es_util.Fnv.add_string h shared;
   Es_util.Fnv.to_hex h
 
 let clear_pool_cache () =
@@ -249,8 +257,8 @@ let build_pool ?exits ?max_candidates ?precisions ~widths cluster ~device =
   in
   score_candidates cluster ~device candidates
 
-let device_pool ?exits ?max_candidates ?precisions ~widths cluster ~device =
-  let key = pool_key ?exits ?max_candidates ?precisions ~widths cluster ~device in
+let cached_pool ?exits ?max_candidates ?precisions ~widths ~shared cluster ~device =
+  let key = pool_key ~shared cluster.Cluster.devices.(device) in
   let rec await () =
     match Hashtbl.find_opt pool_cache key with
     | Some (Pool_ready pool) ->
@@ -287,6 +295,30 @@ let device_pool ?exits ?max_candidates ?precisions ~widths cluster ~device =
   in
   Mutex.lock pool_cache_lock;
   await ()
+
+let device_pool ?exits ?max_candidates ?precisions ~widths cluster ~device =
+  let shared = shared_key ?exits ?max_candidates ?precisions ~widths cluster in
+  cached_pool ?exits ?max_candidates ?precisions ~widths ~shared cluster ~device
+
+(* Every device's pool, with one cache lookup per distinct (model graph,
+   processor) pair: devices stamped from one archetype share both values,
+   so the key — a model-graph walk plus a hash — is computed once per
+   archetype rather than once per device. *)
+let device_pools ?exits ?max_candidates ?precisions ~widths cluster =
+  let shared = shared_key ?exits ?max_candidates ?precisions ~widths cluster in
+  let by_archetype = Hashtbl.create 16 in
+  Array.mapi
+    (fun device (dev : Cluster.device) ->
+      let archetype = (dev.Cluster.model.Es_dnn.Graph.uid, dev.Cluster.proc) in
+      match Hashtbl.find_opt by_archetype archetype with
+      | Some pool -> pool
+      | None ->
+          let pool =
+            cached_pool ?exits ?max_candidates ?precisions ~widths ~shared cluster ~device
+          in
+          Hashtbl.replace by_archetype archetype pool;
+          pool)
+    cluster.Cluster.devices
 
 let best_plan_for_grants ?exits ?max_candidates ?precisions ~widths cluster ~device ~server
     ~bandwidth_bps ~compute_share =
@@ -406,7 +438,9 @@ let load_proxy_ref cluster ~plans assignment =
   !worst
 
 (* Fair-share grant estimate for a device that currently holds none, so the
-   surgery step can evaluate (re-)entering the network. *)
+   surgery step can evaluate (re-)entering the network.  The surgery step
+   keeps the offloader count incrementally; this per-device rescan is its
+   reference. *)
 let fair_share_estimate cluster ~plans ~assignment ~device =
   let s = assignment.(device) in
   let srv = cluster.Cluster.servers.(s) in
@@ -577,9 +611,8 @@ let solve_one ~config ?metrics ?spans ?init cluster =
   in
   let widths = config.widths in
   let pools =
-    Array.init nd (fun device ->
-        device_pool ?max_candidates:config.max_candidates ~precisions:config.precisions ~widths
-          cluster ~device)
+    device_pools ?max_candidates:config.max_candidates ~precisions:config.precisions ~widths
+      cluster
   in
   let best_plan ~device ~server ~bandwidth_bps ~compute_share =
     best_scored cluster ~device ~server pools.(device) ~bandwidth_bps ~compute_share
@@ -652,15 +685,31 @@ let solve_one ~config ?metrics ?spans ?init cluster =
            else incr no_improve;
            if !no_improve >= 3 then raise Exit;
            (* --- Surgery step --- *)
+           (* Offloading devices per server under [plans], kept in step as
+              the scan rewrites plans: [fair_share_estimate]'s count without
+              its per-device rescan of the assignment. *)
+           let offloading = Array.make (Array.length servers) 0 in
+           Array.iteri
+             (fun i s -> if not (Plan.is_device_only plans.(i)) then offloading.(s) <- offloading.(s) + 1)
+             !assignment;
            Array.iteri
              (fun device (d : Decision.t) ->
                let server = !assignment.(device) in
                let bandwidth_bps, compute_share =
                  if Decision.offloads d && d.Decision.bandwidth_bps > 0.0 then
                    (d.Decision.bandwidth_bps, d.Decision.compute_share)
-                 else fair_share_estimate cluster ~plans ~assignment:!assignment ~device
+                 else begin
+                   let k = float_of_int (offloading.(server) + 1) in
+                   (servers.(server).Cluster.ap_bandwidth_bps /. k, 1.0 /. k)
+                 end
                in
-               plans.(device) <- best_plan ~device ~server ~bandwidth_bps ~compute_share)
+               let was_local = Plan.is_device_only plans.(device) in
+               let plan = best_plan ~device ~server ~bandwidth_bps ~compute_share in
+               plans.(device) <- plan;
+               match (was_local, Plan.is_device_only plan) with
+               | true, false -> offloading.(server) <- offloading.(server) + 1
+               | false, true -> offloading.(server) <- offloading.(server) - 1
+               | _ -> ())
              working;
            (* --- Assignment step --- *)
            if config.reassign && Array.length servers > 1 then begin

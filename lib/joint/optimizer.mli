@@ -187,6 +187,16 @@ val device_pool :
 (** The device's scored candidate pool, built once per archetype and cached
     process-wide (see {!clear_pool_cache}). *)
 
+val device_pools :
+  ?exits:int option list ->
+  ?max_candidates:int ->
+  ?precisions:Es_surgery.Precision.t list ->
+  widths:float list ->
+  Es_edge.Cluster.t ->
+  scored array array
+(** [device_pool] for every device of the cluster, indexed by device, with
+    one cache lookup per distinct (model graph, processor) pair. *)
+
 val best_scored :
   Es_edge.Cluster.t ->
   device:int ->
@@ -226,7 +236,11 @@ val fair_share_estimate :
   assignment:int array ->
   device:int ->
   float * float
-(** Fair-share (bandwidth, compute) guess for a device holding no grant. *)
+(** Fair-share (bandwidth, compute) guess for a device holding no grant:
+    its server's capacity split over the offloading devices assigned there
+    plus one.  The surgery step keeps that count per server as it rewrites
+    plans instead of rescanning the assignment per device; this rescan is
+    the reference the count must equal. *)
 
 val fair_share_estimate_ref :
   Es_edge.Cluster.t ->

@@ -162,87 +162,80 @@ let price_update cfg ~prices_bw ~prices_cpu (tallies : tally array) =
         Float.max 0.0 (prices_cpu.(s) +. (cfg.price_step *. (t.cpu_frac -. cfg.price_target))))
     tallies
 
-(* Price-augmented cost of running [d]'s current plan on [server]: a
-   fair-share latency estimate (the grants a re-solve would plausibly hand
-   out) plus what the device's demand costs at that server's dual prices. *)
-let move_cost cluster ~prices_bw ~prices_cpu ~(tallies : tally array) (d : Decision.t) ~server =
-  let device = d.Decision.device in
-  let dev = cluster.Cluster.devices.(device) in
-  let srv = cluster.Cluster.servers.(server) in
-  let joining = if d.Decision.server = server then 0 else 1 in
-  let k = float_of_int (max 1 (tallies.(server).offloaders + joining)) in
-  let plan = d.Decision.plan in
-  let estimate =
-    Decision.make ~device ~server ~plan
-      ~bandwidth_bps:(Float.max (srv.Cluster.ap_bandwidth_bps /. k) 1.0)
-      ~compute_share:(1.0 /. k) ()
-  in
-  let lat = Latency.of_decision cluster estimate in
-  let bits =
-    8.0 *. (Es_surgery.Plan.transfer_bytes plan +. Es_surgery.Plan.result_bytes plan)
-  in
-  let work = Es_surgery.Plan.server_time srv.Cluster.sproc.Processor.perf plan in
-  lat
-  +. (prices_bw.(server) *. dev.Cluster.rate *. bits /. srv.Cluster.ap_bandwidth_bps)
-  +. (prices_cpu.(server) *. dev.Cluster.rate *. work)
-
-(* One best-response sweep in fixed ascending device order.  Ties break
-   toward the lowest server index (strict < during the scan); a move must
-   beat staying put by a relative margin so price noise cannot oscillate
-   devices.  Tallies update as moves land, so later devices respond to
-   earlier moves within the same sweep — still deterministic, the order is
-   fixed.  Returns the number of devices moved; marks source and target
-   shards dirty. *)
+(* One best-response sweep in fixed ascending device order.  A device's
+   cost on server [s] is a fair-share latency estimate (the grants a
+   re-solve would plausibly hand out) plus what its demand costs at [s]'s
+   dual prices.  The latency is [Latency.of_decision] of that estimate
+   written out over the plan terms hoisted per device — the same float
+   operations in the same order, so the sweep is bit-identical to building
+   the decision.  Ties break toward the lowest server index (strict <
+   during the scan); a move must beat staying put by a relative margin so
+   price noise cannot oscillate devices.  Tallies update as moves land, so
+   later devices respond to earlier moves within the same sweep — still
+   deterministic, the order is fixed.  Returns the number of devices moved;
+   marks source and target shards dirty. *)
 let move_pass cfg cluster ~prices_bw ~prices_cpu ~tallies ~(decisions : Decision.t array)
     ~assignment ~dirty ~(st : sweep_state) =
-  let ns = Cluster.n_servers cluster in
+  let servers = cluster.Cluster.servers in
+  let ns = Array.length servers in
   let budget =
     if cfg.max_moves_per_sweep = 0 then max_int else cfg.max_moves_per_sweep
   in
+  let classes, perfs = Cluster.perf_classes cluster in
+  let work = Array.make (Array.length perfs) 0.0 in
+  let cost = Array.make ns 0.0 in
   let moved = ref 0 in
   Array.iter
     (fun (d : Decision.t) ->
       if !moved < budget && Decision.offloads d then begin
         let i = d.Decision.device in
         let cur = d.Decision.server in
-        let cost_cur = move_cost cluster ~prices_bw ~prices_cpu ~tallies d ~server:cur in
+        let dev = cluster.Cluster.devices.(i) in
+        let rate = dev.Cluster.rate in
+        let peak = dev.Cluster.link.Link.peak_bps in
+        let half_rtt = dev.Cluster.link.Link.rtt_s /. 2.0 in
+        let plan = d.Decision.plan in
+        let dev_s = Es_surgery.Plan.device_time dev.Cluster.proc.Processor.perf plan in
+        let up_bytes = Es_surgery.Plan.transfer_bytes plan in
+        let down_bytes = Es_surgery.Plan.result_bytes plan in
+        let bits = 8.0 *. (up_bytes +. down_bytes) in
+        Array.iteri (fun c perf -> work.(c) <- Es_surgery.Plan.server_time perf plan) perfs;
+        for s = 0 to ns - 1 do
+          let ap = servers.(s).Cluster.ap_bandwidth_bps in
+          let joining = if s = cur then 0 else 1 in
+          let k = float_of_int (max 1 (tallies.(s).offloaders + joining)) in
+          let bw = Float.min (Float.max (ap /. k) 1.0) peak in
+          let w = work.(classes.(s)) in
+          let up = if up_bytes <= 0.0 then 0.0 else (up_bytes *. 8.0 /. bw) +. half_rtt in
+          let srv_s = if w <= 0.0 then 0.0 else w /. (1.0 /. k) in
+          let down = if down_bytes <= 0.0 then 0.0 else (down_bytes *. 8.0 /. bw) +. half_rtt in
+          cost.(s) <-
+            dev_s +. up +. srv_s +. down
+            +. (prices_bw.(s) *. rate *. bits /. ap)
+            +. (prices_cpu.(s) *. rate *. w)
+        done;
+        let cost_cur = cost.(cur) in
         let best_s = ref cur and best_c = ref cost_cur in
         for s = 0 to ns - 1 do
-          if s <> cur then begin
-            let c = move_cost cluster ~prices_bw ~prices_cpu ~tallies d ~server:s in
-            if c < !best_c then begin
-              best_s := s;
-              best_c := c
-            end
+          if s <> cur && cost.(s) < !best_c then begin
+            best_s := s;
+            best_c := cost.(s)
           end
         done;
         if !best_s <> cur && !best_c < cost_cur *. (1.0 -. cfg.move_tolerance) then begin
-          let dev = cluster.Cluster.devices.(i) in
-          let plan = d.Decision.plan in
-          let bits =
-            8.0
-            *. (Es_surgery.Plan.transfer_bytes plan +. Es_surgery.Plan.result_bytes plan)
-          in
-          let src = tallies.(cur) and dst = tallies.(!best_s) in
-          let cap_src = cluster.Cluster.servers.(cur).Cluster.ap_bandwidth_bps in
-          let cap_dst = cluster.Cluster.servers.(!best_s).Cluster.ap_bandwidth_bps in
-          let work_src =
-            Es_surgery.Plan.server_time
-              cluster.Cluster.servers.(cur).Cluster.sproc.Processor.perf plan
-          in
-          let work_dst =
-            Es_surgery.Plan.server_time
-              cluster.Cluster.servers.(!best_s).Cluster.sproc.Processor.perf plan
-          in
+          let dst_s = !best_s in
+          let src = tallies.(cur) and dst = tallies.(dst_s) in
+          let cap_src = servers.(cur).Cluster.ap_bandwidth_bps in
+          let cap_dst = servers.(dst_s).Cluster.ap_bandwidth_bps in
           src.offloaders <- src.offloaders - 1;
-          src.bw_frac <- src.bw_frac -. (dev.Cluster.rate *. bits /. cap_src);
-          src.cpu_frac <- src.cpu_frac -. (dev.Cluster.rate *. work_src);
+          src.bw_frac <- src.bw_frac -. (rate *. bits /. cap_src);
+          src.cpu_frac <- src.cpu_frac -. (rate *. work.(classes.(cur)));
           dst.offloaders <- dst.offloaders + 1;
-          dst.bw_frac <- dst.bw_frac +. (dev.Cluster.rate *. bits /. cap_dst);
-          dst.cpu_frac <- dst.cpu_frac +. (dev.Cluster.rate *. work_dst);
-          assignment.(i) <- !best_s;
+          dst.bw_frac <- dst.bw_frac +. (rate *. bits /. cap_dst);
+          dst.cpu_frac <- dst.cpu_frac +. (rate *. work.(classes.(dst_s)));
+          assignment.(i) <- dst_s;
           dirty.(cur) <- true;
-          dirty.(!best_s) <- true;
+          dirty.(dst_s) <- true;
           incr moved;
           st.moves <- st.moves + 1
         end
@@ -329,11 +322,13 @@ let cold_assignment cfg cluster =
   let fastest = fastest_server servers in
   let per_server = float_of_int (max 1 (nd / Array.length servers)) in
   let sc = cfg.shard in
+  let pools =
+    Optimizer.device_pools ?max_candidates:sc.Optimizer.max_candidates
+      ~precisions:sc.Optimizer.precisions ~widths:sc.Optimizer.widths cluster
+  in
   let plans =
     Array.init nd (fun device ->
-        Optimizer.best_plan_for_grants ?max_candidates:sc.Optimizer.max_candidates
-          ~precisions:sc.Optimizer.precisions ~widths:sc.Optimizer.widths cluster ~device
-          ~server:fastest
+        Optimizer.best_scored cluster ~device ~server:fastest pools.(device)
           ~bandwidth_bps:(servers.(fastest).Cluster.ap_bandwidth_bps /. per_server)
           ~compute_share:(1.0 /. per_server))
   in

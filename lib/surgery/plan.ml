@@ -9,6 +9,9 @@ type t = {
   cut : int;
   depth_frac : float;
   accuracy : float;
+  transfer_bytes : float;
+  result_bytes : float;
+  srv_flops : float;
 }
 
 (* Exit-head construction mirrors the standard practice: classifiers get
@@ -57,6 +60,23 @@ let truncate_at (base : Graph.t) id =
 let valid_exit base id =
   id = base.Graph.output || List.mem id (Graph.exit_candidate_ids base)
 
+(* Every constructor ends here: the cost terms fixed by (graph, precision,
+   cut) are computed once per plan, so the accessors below are field reads
+   instead of graph walks. *)
+let with_cut t cut =
+  let n = Graph.n_nodes t.graph in
+  if cut < 0 || cut > n then invalid_arg "Plan.with_cut: cut out of range";
+  let bytes_per_elt = Precision.bytes_per_elt t.precision in
+  {
+    t with
+    cut;
+    transfer_bytes = Graph.cut_transfer_bytes ~bytes_per_elt t.graph cut;
+    result_bytes =
+      (if cut >= n then 0.0
+       else float_of_int (Shape.bytes ~bytes_per_elt (Graph.output_shape t.graph)));
+    srv_flops = Graph.suffix_flops t.graph cut;
+  }
+
 let make ?(width = 1.0) ?exit_node ?(precision = Precision.Fp32) ?(cut = 0) (base : Graph.t) =
   if width <= 0.0 || width > 1.0 then invalid_arg "Plan.make: width outside (0,1]";
   (match exit_node with
@@ -74,31 +94,31 @@ let make ?(width = 1.0) ?exit_node ?(precision = Precision.Fp32) ?(cut = 0) (bas
     Accuracy.predict (Accuracy.profile_of_model base.name) ~depth_frac ~width
     *. Precision.accuracy_factor precision
   in
-  { base_name = base.name; width; exit_node; precision; graph; cut; depth_frac; accuracy }
+  with_cut
+    {
+      base_name = base.name;
+      width;
+      exit_node;
+      precision;
+      graph;
+      cut;
+      depth_frac;
+      accuracy;
+      transfer_bytes = 0.0;
+      result_bytes = 0.0;
+      srv_flops = 0.0;
+    }
+    cut
 
 let device_only ?width ?exit_node ?precision base =
   let p = make ?width ?exit_node ?precision ~cut:0 base in
-  { p with cut = Graph.n_nodes p.graph }
+  with_cut p (Graph.n_nodes p.graph)
 
 let server_only ?width ?exit_node ?precision base = make ?width ?exit_node ?precision ~cut:0 base
-
-let with_cut t cut =
-  let n = Graph.n_nodes t.graph in
-  if cut < 0 || cut > n then invalid_arg "Plan.with_cut: cut out of range";
-  { t with cut }
-
 let dev_flops t = Graph.prefix_flops t.graph t.cut
-let srv_flops t = Graph.suffix_flops t.graph t.cut
-
-let transfer_bytes t =
-  Graph.cut_transfer_bytes ~bytes_per_elt:(Precision.bytes_per_elt t.precision) t.graph t.cut
-
-let result_bytes t =
-  if t.cut >= Graph.n_nodes t.graph then 0.0
-  else
-    float_of_int
-      (Shape.bytes ~bytes_per_elt:(Precision.bytes_per_elt t.precision)
-         (Graph.output_shape t.graph))
+let srv_flops t = t.srv_flops
+let transfer_bytes t = t.transfer_bytes
+let result_bytes t = t.result_bytes
 
 let device_mem_bytes t =
   let bpe = float_of_int (Precision.bytes_per_elt t.precision) in

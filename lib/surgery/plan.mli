@@ -24,7 +24,17 @@ type t = private {
   cut : int;  (** in [0, n_nodes graph] *)
   depth_frac : float;  (** FLOPs of the truncated graph / FLOPs of the base *)
   accuracy : float;  (** from {!Accuracy.predict} *)
+  transfer_bytes : float;  (** cached {!transfer_bytes} *)
+  result_bytes : float;  (** cached {!result_bytes} *)
+  srv_flops : float;  (** cached {!srv_flops} *)
 }
+(** The three cost terms the solver reads in its inner loops —
+    [transfer_bytes], [result_bytes] and [srv_flops] — depend only on
+    (graph, precision, cut), so every constructor ({!make},
+    {!device_only}, {!server_only}, {!with_cut}) computes them once and
+    their accessors are field reads.  [dev_flops], [device_time] and
+    [server_time] still walk the graph (the timings through
+    {!Es_dnn.Profile}'s prefix-sum cache). *)
 
 val make :
   ?width:float -> ?exit_node:int -> ?precision:Precision.t -> ?cut:int -> Es_dnn.Graph.t -> t

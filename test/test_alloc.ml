@@ -540,6 +540,102 @@ let prop_share_rules_match_oracle =
            (Share.sqrt_rule ~weights:w ~bandwidth_bps items)
            (Share.sqrt_rule_ref ~weights:w ~bandwidth_bps items))
 
+(* The placement [Assign.balanced_greedy] made before its per-device terms
+   were hoisted out of the server scan, kept verbatim as the oracle: the
+   hoisted version must reproduce it exactly, including the order the
+   (unstable) sort leaves equal demands in. *)
+let balanced_greedy_parent cluster ~plans =
+  let nd = Cluster.n_devices cluster and ns = Cluster.n_servers cluster in
+  if Array.length plans <> nd then invalid_arg "Assign.balanced_greedy: plans size mismatch";
+  let bw_load = Array.make ns 0.0 in
+  let cpu_load = Array.make ns 0.0 in
+  let assignment = Array.make nd 0 in
+  let demand dev_id =
+    let dev = cluster.Cluster.devices.(dev_id) in
+    let plan = plans.(dev_id) in
+    dev.Cluster.rate
+    *. ((8.0 *. Plan.transfer_bytes plan /. 1e6) +. (Plan.srv_flops plan /. 1e9))
+  in
+  let order = Array.init nd (fun i -> i) in
+  Array.sort (fun a b -> Float.compare (demand b) (demand a)) order;
+  Array.iter
+    (fun dev_id ->
+      let dev = cluster.Cluster.devices.(dev_id) in
+      let plan = plans.(dev_id) in
+      let best = ref 0 and best_load = ref infinity in
+      for s = 0 to ns - 1 do
+        let srv = cluster.Cluster.servers.(s) in
+        let work = Plan.server_time srv.Cluster.sproc.Processor.perf plan in
+        let bw =
+          bw_load.(s)
+          +. (dev.Cluster.rate *. 8.0 *. Plan.transfer_bytes plan /. srv.Cluster.ap_bandwidth_bps)
+        in
+        let cpu = cpu_load.(s) +. (dev.Cluster.rate *. work) in
+        let load = Float.max bw cpu in
+        if load < !best_load then begin
+          best_load := load;
+          best := s
+        end
+      done;
+      let s = !best in
+      assignment.(dev_id) <- s;
+      if not (Plan.is_device_only plan) then begin
+        let srv = cluster.Cluster.servers.(s) in
+        let work = Plan.server_time srv.Cluster.sproc.Processor.perf plan in
+        bw_load.(s) <-
+          bw_load.(s)
+          +. (dev.Cluster.rate *. 8.0 *. Plan.transfer_bytes plan /. srv.Cluster.ap_bandwidth_bps);
+        cpu_load.(s) <- cpu_load.(s) +. (dev.Cluster.rate *. work)
+      end)
+    order;
+  assignment
+
+
+(* Random clusters where the hoisting could go wrong: servers drawn from
+   few processor classes (so classes repeat and interleave), rates from a
+   small set (so demands tie), and plans mixing device-only (zero-demand),
+   full-offload and split plans. *)
+let arb_greedy_instance =
+  QCheck.(triple (int_range 0 100_000) (int_range 1 40) (int_range 1 9))
+
+let greedy_instance (seed, nd, ns) =
+  let rng = Es_util.Prng.create seed in
+  let models = [| Es_dnn.Zoo.alexnet (); Es_dnn.Zoo.mobilenet_v2 (); Es_dnn.Zoo.resnet18 () |] in
+  let devices =
+    List.init nd (fun id ->
+        Cluster.device ~id
+          ~proc:(Es_util.Prng.choice rng Processor.device_classes)
+          ~link:(Es_util.Prng.choice rng [| Link.wifi; Link.lte |])
+          ~model:(Es_util.Prng.choice rng models)
+          ~rate:(Es_util.Prng.choice rng [| 0.5; 1.0; 2.0 |])
+          ~deadline:0.2 ())
+  in
+  let servers =
+    List.init ns (fun id ->
+        Cluster.server ~id
+          ~proc:(Es_util.Prng.choice rng [| Processor.edge_cpu; Processor.edge_gpu |])
+          ~ap_bandwidth_mbps:(Es_util.Prng.choice rng [| 100.0; 300.0 |])
+          ())
+  in
+  let c = Cluster.make ~devices ~servers in
+  let plans =
+    Array.map
+      (fun (d : Cluster.device) ->
+        let g = d.Cluster.model in
+        match Es_util.Prng.int rng 3 with
+        | 0 -> Plan.device_only g
+        | 1 -> Plan.server_only g
+        | _ -> Plan.make ~cut:(Es_util.Prng.int rng (Es_dnn.Graph.n_nodes g + 1)) g)
+      c.Cluster.devices
+  in
+  (c, plans)
+
+let prop_balanced_greedy_matches_parent =
+  qtest ~count:200 "balanced_greedy = pre-hoisting implementation" arb_greedy_instance
+    (fun inst ->
+      let c, plans = greedy_instance inst in
+      Assign.balanced_greedy c ~plans = balanced_greedy_parent c ~plans)
+
 let () =
   Alcotest.run "es_alloc"
     [
@@ -590,5 +686,6 @@ let () =
           Alcotest.test_case "local plans unresourced" `Quick test_policy_device_only_plans_get_no_grants;
           Alcotest.test_case "greedy spreads" `Quick test_assign_balanced_greedy_spreads;
           Alcotest.test_case "local search improves" `Quick test_local_search_improves;
+          prop_balanced_greedy_matches_parent;
         ] );
     ]

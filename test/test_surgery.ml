@@ -173,6 +173,66 @@ let prop_with_cut_preserves_surgery =
       && Float.abs (Plan.dev_flops p +. Plan.srv_flops p -. Graph.total_flops base.Plan.graph)
          < 1.0)
 
+(* The cost terms every constructor caches must equal the graph walks they
+   replace, bit for bit: uplink bytes from [Graph.cut_transfer_bytes], the
+   output tensor's bytes downlink (0 when fully on-device) and the suffix
+   FLOPs from [Graph.suffix_flops]. *)
+let cached_costs_exact (p : Plan.t) =
+  let g = p.Plan.graph and cut = p.Plan.cut in
+  let bytes_per_elt = Precision.bytes_per_elt p.Plan.precision in
+  let result =
+    if cut >= Graph.n_nodes g then 0.0
+    else float_of_int (Shape.bytes ~bytes_per_elt (Graph.output_shape g))
+  in
+  Float.equal (Plan.transfer_bytes p) (Graph.cut_transfer_bytes ~bytes_per_elt g cut)
+  && Float.equal (Plan.result_bytes p) result
+  && Float.equal (Plan.srv_flops p) (Graph.suffix_flops g cut)
+
+let zoo = Array.of_list (Zoo.all ())
+
+(* Every Pareto candidate of every zoo model; every cut and the device-only
+   plan of each candidate's surgery (candidates of one surgery share its
+   executed graph, so each surgery is swept once). *)
+let test_cached_costs_pareto () =
+  Array.iter
+    (fun g ->
+      let swept = ref [] in
+      List.iter
+        (fun (p : Plan.t) ->
+          let surgery (q : Plan.t) = q.Plan.graph == p.Plan.graph && q.Plan.precision = p.Plan.precision in
+          let ok =
+            cached_costs_exact p
+            && (List.exists surgery !swept
+               || begin
+                    swept := p :: !swept;
+                    cached_costs_exact
+                      (Plan.device_only ~width:p.Plan.width ?exit_node:p.Plan.exit_node
+                         ~precision:p.Plan.precision g)
+                    && List.for_all cached_costs_exact
+                         (List.init (Graph.n_nodes p.Plan.graph + 1) (Plan.with_cut p))
+                  end)
+          in
+          if not ok then Alcotest.failf "cached costs diverge: %s" (Plan.describe p))
+        (Candidate.pareto_candidates g))
+    zoo
+
+let prop_cached_costs =
+  qtest ~count:20 "cached plan costs = graph walks (any width, exit, precision, cut)"
+    QCheck.(triple (int_range 0 1000) (float_range 0.05 1.0) (int_range 0 1000))
+    (fun (model, width, pick) ->
+      let g = zoo.(model mod Array.length zoo) in
+      let exits = Candidate.exit_nodes g in
+      let exit_node = List.nth exits (pick mod List.length exits) in
+      List.for_all
+        (fun precision ->
+          let base = Plan.make ~width ?exit_node ~precision g in
+          let n = Graph.n_nodes base.Plan.graph in
+          cached_costs_exact (Plan.make ~width ?exit_node ~precision ~cut:(pick mod (n + 1)) g)
+          && cached_costs_exact (Plan.device_only ~width ?exit_node ~precision g)
+          && cached_costs_exact (Plan.server_only ~width ?exit_node ~precision g)
+          && List.for_all cached_costs_exact (List.init (n + 1) (Plan.with_cut base)))
+        Precision.all)
+
 (* ---------- Memory footprint ---------- *)
 
 let test_mem_monotone_in_cut () =
@@ -505,6 +565,9 @@ let () =
           Alcotest.test_case "exit trade-off" `Quick test_plan_exit_reduces_cost_and_accuracy;
           Alcotest.test_case "times consistent" `Quick test_plan_times_consistent;
           prop_with_cut_preserves_surgery;
+          Alcotest.test_case "cached costs on pareto candidates" `Quick
+            test_cached_costs_pareto;
+          prop_cached_costs;
         ] );
       ( "memory",
         [
